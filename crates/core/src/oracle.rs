@@ -174,8 +174,9 @@ impl Estimator {
     /// their sketch pool and reverse adjacency
     /// ([`RisEstimator::approx_owned_bytes`]); Monte-Carlo oracles hold no
     /// heap beyond the shared graph `Arc`. Shared graphs and world
-    /// collections are budgeted as their own cache entries, never here, so
-    /// nothing is double-counted.
+    /// collections are not counted here; a cache that keeps this oracle
+    /// resident must charge for them too, because the oracle keeps them
+    /// alive.
     pub fn approx_bytes(&self) -> usize {
         std::mem::size_of::<Self>()
             + match self {

@@ -18,24 +18,7 @@ use tcim_graph::NodeId;
 use crate::error::{CoreError, Result};
 use crate::report::IterationRecord;
 
-/// Which greedy strategy drives the seed selection.
-#[derive(Debug, Clone, Copy, PartialEq, Default)]
-pub enum GreedyAlgorithm {
-    /// Plain greedy: scan every candidate at every step.
-    Greedy,
-    /// CELF lazy greedy (default): identical selection, far fewer
-    /// marginal-gain evaluations.
-    #[default]
-    Lazy,
-    /// Stochastic greedy with accuracy parameter `epsilon` and subsample RNG
-    /// seed; used for very large candidate pools.
-    Stochastic {
-        /// Accuracy parameter in `(0, 1)`.
-        epsilon: f64,
-        /// RNG seed of the per-step subsampling.
-        seed: u64,
-    },
-}
+pub use tcim_submodular::GreedyAlgorithm;
 
 /// Resolves the candidate (ground-set) node indices: the explicit candidate
 /// list when given, otherwise every node of the graph.

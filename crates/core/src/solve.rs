@@ -19,19 +19,21 @@
 //!
 //! Adding a scenario is adding an enum variant and a match arm here — not an
 //! eighth free function replicated through every consumer.
+//!
+//! Every row ends in the same greedy pass: [`tcim_submodular::select`] with
+//! the spec's `algorithm`, stopped by [`StopRule::Budget`] for the budget
+//! problems and [`StopRule::Target`] for the cover problems. A `lazy` cover
+//! spec therefore runs CELF, as a `lazy` budget spec always did.
 
 use tcim_diffusion::InfluenceOracle;
 use tcim_graph::NodeId;
-use tcim_submodular::{
-    cover_greedy, maximize_greedy, maximize_lazy, maximize_stochastic,
-    CoverConfig as SubmodularCoverConfig, SelectionTrace, StochasticGreedyConfig,
-};
+use tcim_submodular::{select, IncrementalObjective, SelectionTrace, StopRule};
 
 use crate::concave::ConcaveWrapper;
 use crate::error::{CoreError, Result};
 use crate::objective::{InfluenceObjective, Scalarization};
 use crate::problems::constrained::DEFAULT_WRAPPER_LADDER;
-use crate::problems::{final_influence, replay_influence, resolve_candidates, GreedyAlgorithm};
+use crate::problems::{final_influence, replay_influence, resolve_candidates};
 use crate::report::{ConstrainedOutcome, CoverOutcome, SolverReport};
 use crate::spec::{FairnessMode, Objective, ProblemSpec};
 
@@ -128,22 +130,33 @@ fn check_weight_count(oracle: &dyn InfluenceOracle, weights: &Option<Vec<f64>>) 
     Ok(())
 }
 
-/// Shared budget driver: resolve candidates, run the chosen greedy variant
-/// on the scalarized incremental objective, assemble the report.
+/// One greedy pass of `spec.algorithm` under `stop` on the scalarized
+/// objective: every problem's selection runs through here. Returns the report
+/// and the objective's final value.
+fn greedy_pass(
+    oracle: &dyn InfluenceOracle,
+    spec: &ProblemSpec,
+    scalarization: Scalarization,
+    stop: StopRule,
+) -> Result<(SolverReport, f64)> {
+    let ground = resolve_candidates(oracle, spec.candidates.as_deref())?;
+    let mut objective = InfluenceObjective::new(oracle.cursor(), scalarization);
+    let trace = select(&mut objective, &ground, stop, spec.algorithm)?;
+    let report = build_report(oracle, &trace, spec.label(), Some(spec.canonical()))?;
+    Ok((report, objective.current_value()))
+}
+
 fn solve_budget(
     oracle: &dyn InfluenceOracle,
     spec: &ProblemSpec,
     budget: usize,
     scalarization: Scalarization,
 ) -> Result<SolverReport> {
-    let ground = resolve_candidates(oracle, spec.candidates.as_deref())?;
-    let mut objective = InfluenceObjective::new(oracle.cursor(), scalarization);
-    let trace = run_greedy(&mut objective, &ground, budget, spec.algorithm)?;
-    build_report(oracle, &trace, spec.label(), Some(spec.canonical()))
+    Ok(greedy_pass(oracle, spec, scalarization, StopRule::Budget(budget))?.0)
 }
 
-/// Shared cover driver: greedy cover on the scalarized objective until
-/// `target`, attaching the coverage outcome.
+/// Greedy cover on the scalarized objective until `target`, attaching the
+/// coverage outcome.
 fn solve_cover(
     oracle: &dyn InfluenceOracle,
     spec: &ProblemSpec,
@@ -155,21 +168,17 @@ fn solve_cover(
         // lint:allow(panic): the dispatch match above only routes cover objectives here
         unreachable!("solve_cover is only dispatched for cover objectives")
     };
-    let ground = resolve_candidates(oracle, spec.candidates.as_deref())?;
-    let mut objective = InfluenceObjective::new(oracle.cursor(), scalarization);
-    let result = cover_greedy(
-        &mut objective,
-        &ground,
-        &SubmodularCoverConfig { target, tolerance, max_items: max_seeds },
-    )?;
-    let mut report = build_report(oracle, &result.trace, spec.label(), Some(spec.canonical()))?;
-    report.cover = Some(CoverOutcome { quota: outcome_quota, reached: result.reached });
+    let stop = StopRule::Target { target, tolerance, max_items: max_seeds };
+    let (mut report, value) = greedy_pass(oracle, spec, scalarization, stop)?;
+    report.cover =
+        Some(CoverOutcome { quota: outcome_quota, reached: value >= target - tolerance });
     Ok(report)
 }
 
 /// P3: sweep the wrapper ladder (then minority up-weighting) for the
 /// highest-influence solution within the disparity cap; fall back to the
-/// least disparate solution, flagged infeasible, when none qualifies.
+/// least disparate solution, flagged infeasible, when none qualifies. The
+/// report's `gain_evaluations` sums every pass of the sweep.
 fn constrained_budget_sweep(
     oracle: &dyn InfluenceOracle,
     spec: &ProblemSpec,
@@ -185,85 +194,55 @@ fn constrained_budget_sweep(
 
     let mut best_feasible: Option<Candidate> = None;
     let mut least_disparate: Option<Candidate> = None;
+    let mut gain_evaluations = 0;
 
-    let consider = |best_feasible: &mut Option<Candidate>,
-                    least_disparate: &mut Option<Candidate>,
-                    candidate: Candidate| {
-        if candidate.feasible {
-            let better = best_feasible
-                .as_ref()
-                .map(|b| candidate.report.influence.total() > b.report.influence.total())
-                .unwrap_or(true);
-            if better {
-                *best_feasible = Some(Candidate {
-                    report: candidate.report.clone(),
-                    wrapper: candidate.wrapper,
-                    weights: candidate.weights.clone(),
-                    feasible: candidate.feasible,
-                });
-            }
+    // One pass: solve P4 with `wrapper` and `weights`, keep it if it beats
+    // the best so far; returns its feasibility and worst-off group.
+    let mut pass = |wrapper: ConcaveWrapper, weights: Option<Vec<f64>>| -> Result<_> {
+        let scalarization = Scalarization::Concave { wrapper, weights: weights.clone() };
+        let report = solve_budget(oracle, spec, budget, scalarization)?;
+        gain_evaluations += report.gain_evaluations;
+        let fairness = report.fairness();
+        let feasible = fairness.disparity <= disparity_cap + 1e-9;
+        let total = report.influence.total();
+        if feasible && best_feasible.as_ref().is_none_or(|b| total > b.report.influence.total()) {
+            best_feasible = Some(Candidate {
+                report: report.clone(),
+                wrapper,
+                weights: weights.clone(),
+                feasible,
+            });
         }
-        let lower = least_disparate
-            .as_ref()
-            .map(|b| candidate.report.disparity() < b.report.disparity())
-            .unwrap_or(true);
-        if lower {
-            *least_disparate = Some(candidate);
+        if least_disparate.as_ref().is_none_or(|b| report.disparity() < b.report.disparity()) {
+            least_disparate = Some(Candidate { report, wrapper, weights, feasible });
         }
+        Ok((feasible, fairness.worst_off_group()))
     };
 
+    let mut any_feasible = false;
+    let mut last_worst = None;
     for wrapper in DEFAULT_WRAPPER_LADDER {
-        let report =
-            solve_budget(oracle, spec, budget, Scalarization::Concave { wrapper, weights: None })?;
-        let feasible = report.disparity() <= disparity_cap + 1e-9;
-        consider(
-            &mut best_feasible,
-            &mut least_disparate,
-            Candidate { report, wrapper, weights: None, feasible },
-        );
-        // The ladder is ordered by curvature; keep scanning past the first
-        // feasible rung (curvature/influence is not perfectly monotone on
+        let (feasible, worst) = pass(wrapper, None)?;
+        any_feasible |= feasible;
+        last_worst = worst;
+        // The ladder is ordered by curvature; keep scanning past a feasible
+        // identity rung (curvature/influence is not perfectly monotone on
         // sampled objectives) but stop once a non-identity rung is feasible.
-        if best_feasible.is_some() && feasible && wrapper != DEFAULT_WRAPPER_LADDER[0] {
+        if feasible && wrapper != DEFAULT_WRAPPER_LADDER[0] {
             break;
         }
     }
 
-    if best_feasible.is_none() {
+    if !any_feasible {
         // Second lever: up-weight the worst-off group under the most curved
-        // wrapper.
-        let k = oracle.graph().num_groups();
-        let probe = solve_budget(
-            oracle,
-            spec,
-            budget,
-            Scalarization::Concave { wrapper: ConcaveWrapper::Log, weights: None },
-        )?;
-        if let Some(worst) = probe.fairness().worst_off_group() {
+        // wrapper. The ladder ran to its end, so its last pass was that
+        // wrapper unweighted and already names the group.
+        let most_curved = DEFAULT_WRAPPER_LADDER[DEFAULT_WRAPPER_LADDER.len() - 1];
+        if let Some(worst) = last_worst {
             for boost in [4.0, 16.0, 64.0] {
-                let mut weights = vec![1.0; k];
+                let mut weights = vec![1.0; oracle.graph().num_groups()];
                 weights[worst.index()] = boost;
-                let report = solve_budget(
-                    oracle,
-                    spec,
-                    budget,
-                    Scalarization::Concave {
-                        wrapper: ConcaveWrapper::Log,
-                        weights: Some(weights.clone()),
-                    },
-                )?;
-                let feasible = report.disparity() <= disparity_cap + 1e-9;
-                consider(
-                    &mut best_feasible,
-                    &mut least_disparate,
-                    Candidate {
-                        report,
-                        wrapper: ConcaveWrapper::Log,
-                        weights: Some(weights),
-                        feasible,
-                    },
-                );
-                if best_feasible.is_some() {
+                if pass(most_curved, Some(weights))?.0 {
                     break;
                 }
             }
@@ -273,6 +252,7 @@ fn constrained_budget_sweep(
     // lint:allow(panic): the ladder always evaluates at least the uncapped rung
     let chosen = best_feasible.or(least_disparate).expect("at least one ladder rung was evaluated");
     let mut report = chosen.report;
+    report.gain_evaluations = gain_evaluations;
     report.constrained = Some(ConstrainedOutcome {
         disparity_cap,
         feasible: chosen.feasible,
@@ -312,26 +292,7 @@ fn constrained_cover_lift(
     Ok(report)
 }
 
-pub(crate) fn run_greedy(
-    objective: &mut InfluenceObjective<'_>,
-    ground: &[usize],
-    budget: usize,
-    algorithm: GreedyAlgorithm,
-) -> Result<SelectionTrace> {
-    let trace = match algorithm {
-        GreedyAlgorithm::Greedy => maximize_greedy(objective, ground, budget)?,
-        GreedyAlgorithm::Lazy => maximize_lazy(objective, ground, budget)?,
-        GreedyAlgorithm::Stochastic { epsilon, seed } => maximize_stochastic(
-            objective,
-            ground,
-            budget,
-            &StochasticGreedyConfig { epsilon, seed },
-        )?,
-    };
-    Ok(trace)
-}
-
-pub(crate) fn build_report(
+fn build_report(
     oracle: &dyn InfluenceOracle,
     trace: &SelectionTrace,
     label: String,
@@ -358,6 +319,7 @@ pub(crate) fn build_report(
 mod tests {
     use super::*;
     use crate::spec::{FairnessMode, ProblemSpec};
+    use crate::GreedyAlgorithm;
     use std::sync::Arc;
     use tcim_diffusion::{Deadline, WorldEstimator, WorldsConfig};
     use tcim_graph::{Graph, GraphBuilder, GroupId};
@@ -455,6 +417,64 @@ mod tests {
             .unwrap();
         let err = solve(&est, &bad_weights).unwrap_err().to_string();
         assert!(err.contains("'weights'"), "{err}");
+    }
+
+    #[test]
+    fn cover_specs_honour_the_algorithm() {
+        let est = oracle();
+        // Every quota needs both hubs, so each pass makes two picks.
+        let covers = [
+            ProblemSpec::cover(0.9).unwrap(),
+            ProblemSpec::cover(0.5)
+                .unwrap()
+                .with_fairness(FairnessMode::GroupQuota { group: None })
+                .unwrap(),
+            ProblemSpec::cover(0.2)
+                .unwrap()
+                .with_fairness(FairnessMode::Constrained { disparity_cap: 0.4 })
+                .unwrap(),
+        ];
+        for spec in covers {
+            let run = |algorithm| solve(&est, &spec.clone().with_algorithm(algorithm).unwrap());
+            let plain = run(GreedyAlgorithm::Greedy).unwrap();
+            let lazy = run(GreedyAlgorithm::Lazy).unwrap();
+            assert_eq!(lazy.seeds, plain.seeds, "{}", spec.label());
+            assert!(
+                lazy.gain_evaluations < plain.gain_evaluations,
+                "{}: lazy {} vs plain {}",
+                spec.label(),
+                lazy.gain_evaluations,
+                plain.gain_evaluations
+            );
+
+            let stochastic = GreedyAlgorithm::Stochastic { epsilon: 0.1, seed: 9 };
+            let first = run(stochastic).unwrap();
+            assert_eq!(first, run(stochastic).unwrap(), "{}", spec.label());
+            assert!(first.cover.unwrap().reached, "{}", spec.label());
+        }
+    }
+
+    #[test]
+    fn constrained_budget_reports_the_gain_calls_of_every_pass() {
+        // One seed can never serve both stars, so no pass meets a zero cap:
+        // the sweep runs the whole ladder, then every minority boost.
+        let est = oracle();
+        let spec = |fairness| ProblemSpec::budget(1).unwrap().with_fairness(fairness).unwrap();
+        let report = solve(&est, &spec(FairnessMode::Constrained { disparity_cap: 0.0 })).unwrap();
+        assert!(!report.constrained.as_ref().unwrap().feasible);
+
+        let p4 = |wrapper, weights| {
+            solve(&est, &spec(FairnessMode::Concave { wrapper, weights })).unwrap()
+        };
+        let mut expected: usize =
+            DEFAULT_WRAPPER_LADDER.iter().map(|&w| p4(w, None).gain_evaluations).sum();
+        let worst = p4(ConcaveWrapper::Log, None).fairness().worst_off_group().unwrap();
+        for boost in [4.0, 16.0, 64.0] {
+            let mut weights = vec![1.0; 2];
+            weights[worst.index()] = boost;
+            expected += p4(ConcaveWrapper::Log, Some(weights)).gain_evaluations;
+        }
+        assert_eq!(report.gain_evaluations, expected);
     }
 
     #[test]

@@ -23,10 +23,12 @@
 //! estimates are computed by the crate that owns each type
 //! (`Graph::approx_bytes`, `LtWeights::approx_bytes`,
 //! `WorldCollection::approx_bytes`, `Estimator::approx_bytes` — see
-//! `docs/CACHE.md` for the derivations). Entries are spread over
-//! [`CacheConfig::shards`] shards by an FNV-1a hash of their fingerprint
-//! key; each shard owns its own `Mutex` and an equal slice of the budget,
-//! so batch fan-out stops serializing on one global lock.
+//! `docs/CACHE.md` for the derivations). A resident oracle is also charged
+//! for the graph and world pool its `Arc`s keep alive, so the budget bounds
+//! what the entries keep alive, not only their own bytes. Entries are
+//! spread over [`CacheConfig::shards`] shards by an FNV-1a hash of their
+//! fingerprint key; each shard owns its own `Mutex` and an equal slice of
+//! the budget, so batch fan-out stops serializing on one global lock.
 //!
 //! Within a shard, eviction is **cost-aware segmented LRU**: a new entry
 //! starts in a probation segment, a re-accessed entry is promoted to a
@@ -70,7 +72,7 @@ use std::sync::{Arc, Mutex};
 
 use tcim_core::{Estimator, EstimatorConfig};
 use tcim_datasets::registry::Dataset;
-use tcim_diffusion::{Deadline, LtWeights, WorldCollection, WorldsConfig};
+use tcim_diffusion::{Deadline, InfluenceOracle, LtWeights, WorldCollection, WorldsConfig};
 use tcim_graph::{Graph, MutationOp, NodeId};
 
 use crate::error::{Result, ServiceError};
@@ -383,7 +385,16 @@ impl CacheValue {
             CacheValue::Graph(graph) => graph.cost_bytes(),
             CacheValue::Lt(weights) => weights.cost_bytes(),
             CacheValue::Worlds(worlds) => worlds.cost_bytes(),
-            CacheValue::Oracle(oracle) => oracle.cost_bytes(),
+            // A resident oracle keeps its graph and world pool alive through
+            // `Arc`s, so evicting their own entries frees nothing while it
+            // stays: it is charged for them too.
+            CacheValue::Oracle(oracle) => {
+                let pool = match oracle.as_ref() {
+                    Estimator::Worlds(e) => e.worlds().cost_bytes(),
+                    Estimator::MonteCarlo(_) | Estimator::Ris(_) => 0,
+                };
+                oracle.cost_bytes() + oracle.graph().cost_bytes() + pool
+            }
         }
     }
 
@@ -1168,7 +1179,7 @@ impl OracleCache {
 mod tests {
     use super::*;
     use tcim_core::{RisConfig, WorldsConfig};
-    use tcim_diffusion::{AdaptiveRis, InfluenceOracle, ParallelismConfig};
+    use tcim_diffusion::{AdaptiveRis, ParallelismConfig};
 
     fn spec(deadline: u32, num_worlds: usize) -> OracleSpec {
         OracleSpec {
@@ -1340,6 +1351,45 @@ mod tests {
             })
             .collect();
         assert_eq!(first, again, "eviction must never change answers");
+    }
+
+    #[test]
+    fn resident_oracles_pay_for_the_graphs_and_pools_they_keep_alive() {
+        // Oracles over distinct datasets, worlds and RIS alternating: every
+        // graph and world pool is its own allocation. Whatever the cache
+        // still keeps alive — through its own entry or through a resident
+        // oracle's `Arc` — must fit the budget.
+        let budget = 16 * 1024;
+        let cache = OracleCache::with_config(CacheConfig { max_bytes: budget, shards: 2 });
+        let mut graphs = Vec::new();
+        let mut pools = Vec::new();
+        for seed in 0..48 {
+            let mut spec = spec(2, 8);
+            spec.dataset.seed = seed;
+            if seed % 2 == 1 {
+                spec.estimator =
+                    EstimatorConfig::Ris(RisConfig { num_sets: 64, seed, ..Default::default() });
+            }
+            // Served twice, as a scenario's P1–P6 requests share one
+            // oracle: the hit promotes the oracle to the protected segment,
+            // so its graph and pool entries are evicted before it.
+            cache.oracle(&spec).unwrap();
+            match cache.oracle(&spec).unwrap().as_ref() {
+                Estimator::Worlds(e) => {
+                    graphs.push(Arc::downgrade(&e.graph_arc()));
+                    pools.push(Arc::downgrade(&e.worlds_arc()));
+                }
+                Estimator::Ris(e) => graphs.push(Arc::downgrade(&e.graph_arc())),
+                Estimator::MonteCarlo(_) => unreachable!("no Monte-Carlo spec was built"),
+            }
+        }
+        assert!(cache.stats().evictions > 0, "the oracles must overflow the budget");
+        let alive: usize =
+            graphs.iter().filter_map(|g| g.upgrade()).map(|g| g.cost_bytes()).sum::<usize>()
+                + pools.iter().filter_map(|p| p.upgrade()).map(|p| p.cost_bytes()).sum::<usize>();
+        assert!(alive > 0, "the most recent entries stay resident");
+        assert!(alive <= budget, "{alive} bytes kept alive under a {budget}-byte budget");
+        assert_no_accounting_drift(&cache);
     }
 
     fn first_edge(graph: &Graph) -> (NodeId, NodeId, f64) {

@@ -1,158 +1,149 @@
-//! Greedy submodular cover: select the smallest set whose objective value
-//! reaches a target.
+//! Stop rules: when a greedy pass ends.
 //!
-//! This is the solver behind the TCIM-COVER (P2) and FAIRTCIM-COVER (P6)
-//! problems: the objective is the (truncated, possibly per-group) coverage
-//! potential, and the target is `Q` (resp. `k · Q`). Wolsey's analysis gives
-//! the `ln(1 + |V|)`-style multiplicative bound on the selected set size
-//! quoted in Section 3.4 and Theorem 2 of the paper.
+//! The budget problems (P1, P3, P4) stop after `k` items. The cover problems
+//! (P2, P5, P6) stop once the objective reaches a target: the objective is
+//! the (truncated, possibly per-group) coverage potential, and the target is
+//! `Q` (resp. `k · Q`). Wolsey's analysis gives the `ln(1 + |V|)`-style
+//! multiplicative bound on the selected set size quoted in Section 3.4 and
+//! Theorem 2 of the paper. Both rules drive the same loop, [`select`].
+//!
+//! [`select`]: crate::select
 
 use crate::error::{Result, SubmodularError};
-use crate::function::IncrementalObjective;
-use crate::trace::{CoverResult, SelectionTrace};
 
-/// Configuration of the greedy cover solver.
+/// When a greedy pass stops. Every pass also stops early once no remaining
+/// item has a positive gain.
 #[derive(Debug, Clone, Copy, PartialEq)]
-pub struct CoverConfig {
-    /// Target objective value to reach.
-    pub target: f64,
-    /// Numerical slack: the run stops once `value ≥ target − tolerance`.
-    /// Useful because Monte-Carlo objectives only approximate the true value.
-    pub tolerance: f64,
-    /// Hard cap on the number of selected items (defaults to the ground-set
-    /// size when `None`).
-    pub max_items: Option<usize>,
+pub enum StopRule {
+    /// Select at most `k` items.
+    Budget(usize),
+    /// Select until the objective value reaches `target − tolerance`, or
+    /// `max_items` items are selected. An unreachable target is *not* an
+    /// error, because the experiment harness deliberately probes infeasible
+    /// quotas: the caller reads whether it was reached off the objective.
+    Target {
+        /// Target objective value to reach.
+        target: f64,
+        /// Numerical slack, useful because Monte-Carlo objectives only
+        /// approximate the true value.
+        tolerance: f64,
+        /// Hard cap on the number of selected items (the ground-set size
+        /// when `None`).
+        max_items: Option<usize>,
+    },
 }
 
-impl CoverConfig {
-    /// Creates a configuration with the given target, zero tolerance and no
-    /// item cap.
-    pub fn new(target: f64) -> Self {
-        CoverConfig { target, tolerance: 0.0, max_items: None }
-    }
-}
-
-/// Greedily selects items from `ground` until the objective value reaches the
-/// target (within tolerance), the ground set is exhausted, the item cap is
-/// hit, or no remaining item has positive gain.
-///
-/// The returned [`CoverResult::reached`] flag records whether the target was
-/// met; an unreachable target is *not* an error because the experiment
-/// harness deliberately probes infeasible quotas.
-///
-/// # Errors
-///
-/// Returns an error if `ground` is empty or the target is negative / NaN.
-pub fn cover_greedy<O: IncrementalObjective>(
-    objective: &mut O,
-    ground: &[usize],
-    config: &CoverConfig,
-) -> Result<CoverResult> {
-    if ground.is_empty() {
-        return Err(SubmodularError::EmptyGroundSet);
-    }
-    if config.target < 0.0 || config.target.is_nan() {
-        return Err(SubmodularError::InvalidParameter {
-            message: format!("cover target {} must be non-negative", config.target),
-        });
-    }
-    if config.tolerance < 0.0 || config.tolerance.is_nan() {
-        return Err(SubmodularError::InvalidParameter {
-            message: format!("tolerance {} must be non-negative", config.tolerance),
-        });
-    }
-
-    let mut remaining: Vec<usize> = ground.to_vec();
-    remaining.sort_unstable();
-    remaining.dedup();
-    let max_items = config.max_items.unwrap_or(remaining.len());
-
-    let mut trace = SelectionTrace::default();
-    let threshold = config.target - config.tolerance;
-
-    while objective.current_value() < threshold && trace.len() < max_items && !remaining.is_empty()
-    {
-        let mut best: Option<(usize, f64)> = None; // (position, gain)
-        for (pos, &item) in remaining.iter().enumerate() {
-            let gain = objective.gain(item);
-            trace.gain_evaluations += 1;
-            // Ties break towards the smallest item id, matching the greedy and
-            // lazy-greedy maximizers.
-            let better = match best {
-                None => true,
-                Some((best_pos, best_gain)) => {
-                    gain > best_gain || (gain == best_gain && item < remaining[best_pos])
-                }
-            };
-            if better {
-                best = Some((pos, gain));
+impl StopRule {
+    pub(crate) fn validate(&self) -> Result<()> {
+        let invalid = |message: String| Err(SubmodularError::InvalidParameter { message });
+        match *self {
+            StopRule::Budget(0) => Err(SubmodularError::ZeroBudget),
+            StopRule::Budget(_) => Ok(()),
+            StopRule::Target { target, .. } if target < 0.0 || target.is_nan() => {
+                invalid(format!("cover target {target} must be non-negative"))
             }
-        }
-        match best {
-            Some((pos, gain)) if gain > 0.0 => {
-                let item = remaining.swap_remove(pos);
-                objective.insert(item);
-                trace.push(item, gain, objective.current_value());
+            StopRule::Target { tolerance, .. } if tolerance < 0.0 || tolerance.is_nan() => {
+                invalid(format!("tolerance {tolerance} must be non-negative"))
             }
-            _ => break,
+            StopRule::Target { .. } => Ok(()),
         }
     }
 
-    let reached = objective.current_value() >= threshold;
-    Ok(CoverResult { trace, reached, target: config.target })
+    /// Most items a pass over `n` candidates may select.
+    pub(crate) fn max_items(&self, n: usize) -> usize {
+        match *self {
+            StopRule::Budget(k) => k,
+            StopRule::Target { max_items, .. } => max_items.unwrap_or(n),
+        }
+    }
+
+    /// Whether a pass at objective `value` with `selected` items is done.
+    pub(crate) fn is_met(&self, value: f64, selected: usize, n: usize) -> bool {
+        selected >= self.max_items(n)
+            || matches!(*self, StopRule::Target { target, tolerance, .. }
+                if value >= target - tolerance)
+    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::function::IncrementalObjective;
     use crate::testing::{ModularFunction, WeightedCoverage};
+    use crate::trace::SelectionTrace;
+    use crate::{select, GreedyAlgorithm};
+
+    fn target(target: f64) -> StopRule {
+        StopRule::Target { target, tolerance: 0.0, max_items: None }
+    }
+
+    /// Runs `stop` with every strategy, checks that lazy picks what plain
+    /// greedy picks with no more gain calls, and returns the plain trace.
+    fn cover<O: IncrementalObjective + Clone>(
+        objective: &O,
+        ground: &[usize],
+        stop: StopRule,
+    ) -> SelectionTrace {
+        let run = |algorithm| select(&mut objective.clone(), ground, stop, algorithm).unwrap();
+        let plain = run(GreedyAlgorithm::Greedy);
+        let lazy = run(GreedyAlgorithm::Lazy);
+        assert_eq!(plain.selected, lazy.selected);
+        assert!(lazy.gain_evaluations <= plain.gain_evaluations);
+        let stochastic = run(GreedyAlgorithm::Stochastic { epsilon: 0.1, seed: 5 });
+        assert!(stochastic.len() <= stop.max_items(ground.len()));
+        plain
+    }
 
     #[test]
     fn covers_the_target_with_a_small_set() {
-        let mut f = WeightedCoverage::uniform(
+        let f = WeightedCoverage::uniform(
             vec![vec![0, 1, 2, 3], vec![4, 5], vec![6], vec![0, 4, 6]],
             7,
         );
-        let result = cover_greedy(&mut f, &[0, 1, 2, 3], &CoverConfig::new(6.0)).unwrap();
-        assert!(result.reached);
-        assert!(result.achieved() >= 6.0);
-        assert!(result.seed_count() <= 3);
+        let trace = cover(&f, &[0, 1, 2, 3], target(6.0));
+        assert!(trace.final_value() >= 6.0);
+        assert!(trace.len() <= 3);
     }
 
     #[test]
     fn reports_unreachable_targets_without_erroring() {
-        let mut f = WeightedCoverage::uniform(vec![vec![0], vec![1]], 5);
-        let result = cover_greedy(&mut f, &[0, 1], &CoverConfig::new(4.0)).unwrap();
-        assert!(!result.reached);
-        assert_eq!(result.achieved(), 2.0);
-        assert_eq!(result.seed_count(), 2);
-        assert_eq!(result.target, 4.0);
+        let f = WeightedCoverage::uniform(vec![vec![0], vec![1]], 5);
+        let trace = cover(&f, &[0, 1], target(4.0));
+        assert_eq!(trace.final_value(), 2.0);
+        assert_eq!(trace.len(), 2);
     }
 
     #[test]
     fn zero_target_selects_nothing() {
-        let mut f = ModularFunction::new(vec![1.0, 1.0]);
-        let result = cover_greedy(&mut f, &[0, 1], &CoverConfig::new(0.0)).unwrap();
-        assert!(result.reached);
-        assert_eq!(result.seed_count(), 0);
+        // A target that already holds costs no gain calls, whatever the
+        // strategy.
+        let f = ModularFunction::new(vec![1.0, 1.0]);
+        for algorithm in [
+            GreedyAlgorithm::Greedy,
+            GreedyAlgorithm::Lazy,
+            GreedyAlgorithm::Stochastic { epsilon: 0.5, seed: 0 },
+        ] {
+            let trace = select(&mut f.clone(), &[0, 1], target(0.0), algorithm).unwrap();
+            assert!(trace.is_empty());
+            assert_eq!(trace.gain_evaluations, 0, "{algorithm:?}");
+        }
     }
 
     #[test]
     fn tolerance_allows_stopping_slightly_early() {
-        let mut f = ModularFunction::new(vec![1.0, 1.0, 1.0]);
-        let config = CoverConfig { target: 2.05, tolerance: 0.1, max_items: None };
-        let result = cover_greedy(&mut f, &[0, 1, 2], &config).unwrap();
-        assert!(result.reached);
-        assert_eq!(result.seed_count(), 2);
+        let f = ModularFunction::new(vec![1.0, 1.0, 1.0]);
+        let stop = StopRule::Target { target: 2.05, tolerance: 0.1, max_items: None };
+        let trace = cover(&f, &[0, 1, 2], stop);
+        assert_eq!(trace.len(), 2);
     }
 
     #[test]
     fn max_items_caps_the_selection() {
-        let mut f = ModularFunction::new(vec![1.0; 10]);
-        let config = CoverConfig { target: 10.0, tolerance: 0.0, max_items: Some(3) };
-        let result = cover_greedy(&mut f, &(0..10).collect::<Vec<_>>(), &config).unwrap();
-        assert!(!result.reached);
-        assert_eq!(result.seed_count(), 3);
+        let f = ModularFunction::new(vec![1.0; 10]);
+        let stop = StopRule::Target { target: 10.0, tolerance: 0.0, max_items: Some(3) };
+        let trace = cover(&f, &(0..10).collect::<Vec<_>>(), stop);
+        assert_eq!(trace.len(), 3);
+        assert!(trace.final_value() < 10.0);
     }
 
     #[test]
@@ -167,19 +158,21 @@ mod tests {
             vec![2, 8],
             vec![3, 9],
         ];
-        let mut f = WeightedCoverage::uniform(covers, 12);
-        let result = cover_greedy(&mut f, &[0, 1, 2, 3, 4, 5], &CoverConfig::new(11.0)).unwrap();
-        assert!(result.reached);
+        let f = WeightedCoverage::uniform(covers, 12);
+        let trace = cover(&f, &[0, 1, 2, 3, 4, 5], target(11.0));
+        assert!(trace.final_value() >= 11.0);
         let bound = ((1.0 + 12.0f64).ln() * 2.0).ceil() as usize;
-        assert!(result.seed_count() <= bound);
+        assert!(trace.len() <= bound);
     }
 
     #[test]
     fn invalid_inputs_error() {
         let mut f = ModularFunction::new(vec![1.0]);
-        assert!(cover_greedy(&mut f, &[], &CoverConfig::new(1.0)).is_err());
-        assert!(cover_greedy(&mut f, &[0], &CoverConfig::new(-1.0)).is_err());
-        let bad_tol = CoverConfig { target: 1.0, tolerance: -0.5, max_items: None };
-        assert!(cover_greedy(&mut f, &[0], &bad_tol).is_err());
+        let lazy = GreedyAlgorithm::Lazy;
+        assert!(select(&mut f, &[], target(1.0), lazy).is_err());
+        assert!(select(&mut f, &[0], target(-1.0), lazy).is_err());
+        assert!(select(&mut f, &[0], target(f64::NAN), lazy).is_err());
+        let bad_tol = StopRule::Target { target: 1.0, tolerance: -0.5, max_items: None };
+        assert!(select(&mut f, &[0], bad_tol, lazy).is_err());
     }
 }

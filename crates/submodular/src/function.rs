@@ -9,10 +9,9 @@
 /// typically cache per-item state so that `gain` is much cheaper than
 /// re-evaluating the function from scratch.
 ///
-/// The maximization guarantees of [`greedy`](crate::maximize_greedy) and
-/// [`lazy greedy`](crate::maximize_lazy) require `F` to be non-negative,
-/// monotone and submodular; the algorithms themselves run on any
-/// implementation (and [`verify_submodular`](crate::testing::verify_submodular)
+/// The guarantees of the greedy driver [`select`](crate::select) require `F`
+/// to be non-negative, monotone and submodular; the driver itself runs on
+/// any implementation (and [`verify_submodular`](crate::testing::verify_submodular)
 /// can check the property empirically on small instances).
 pub trait IncrementalObjective {
     /// Value of the currently committed set.

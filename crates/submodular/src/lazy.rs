@@ -1,4 +1,5 @@
-//! CELF lazy greedy maximization (Leskovec et al., 2007).
+//! The CELF strategy (Leskovec et al., 2007): a max-heap of possibly stale
+//! gains.
 //!
 //! For submodular objectives an item's marginal gain can only shrink as the
 //! selected set grows, so stale gains stored in a max-heap are valid upper
@@ -10,9 +11,7 @@
 use std::cmp::Ordering;
 use std::collections::BinaryHeap;
 
-use crate::error::{Result, SubmodularError};
 use crate::function::IncrementalObjective;
-use crate::trace::SelectionTrace;
 
 /// Heap entry: a cached (possibly stale) upper bound on an item's gain.
 #[derive(Debug, Clone, Copy)]
@@ -33,8 +32,8 @@ impl Eq for HeapEntry {}
 
 impl Ord for HeapEntry {
     fn cmp(&self, other: &Self) -> Ordering {
-        // Max-heap on gain; ties broken towards the smaller item id so the
-        // selection is deterministic.
+        // Max-heap on gain; ties broken towards the smaller item id, the
+        // driver's one tie rule.
         self.gain
             .partial_cmp(&other.gain)
             .unwrap_or(Ordering::Equal)
@@ -47,69 +46,52 @@ impl PartialOrd for HeapEntry {
     }
 }
 
-/// Maximizes `objective` over subsets of `ground` with at most `budget` items
-/// using the CELF lazy-greedy strategy.
-///
-/// Produces exactly the same selection as [`maximize_greedy`] on submodular
-/// objectives (up to ties), with far fewer gain evaluations.
-///
-/// # Errors
-///
-/// Returns an error if `ground` is empty or `budget` is zero.
-///
-/// [`maximize_greedy`]: crate::maximize_greedy
-pub fn maximize_lazy<O: IncrementalObjective>(
-    objective: &mut O,
-    ground: &[usize],
-    budget: usize,
-) -> Result<SelectionTrace> {
-    if ground.is_empty() {
-        return Err(SubmodularError::EmptyGroundSet);
-    }
-    if budget == 0 {
-        return Err(SubmodularError::ZeroBudget);
+/// The remaining candidates of a CELF pass.
+pub(crate) struct CelfHeap {
+    /// Items not yet evaluated: all of them until the first pick.
+    unevaluated: Vec<usize>,
+    heap: BinaryHeap<HeapEntry>,
+    /// Number of items picked so far.
+    round: usize,
+}
+
+impl CelfHeap {
+    pub(crate) fn new(items: Vec<usize>) -> Self {
+        CelfHeap { heap: BinaryHeap::with_capacity(items.len()), unevaluated: items, round: 0 }
     }
 
-    let mut items: Vec<usize> = ground.to_vec();
-    items.sort_unstable();
-    items.dedup();
-
-    let mut trace = SelectionTrace::default();
-    let mut heap: BinaryHeap<HeapEntry> = BinaryHeap::with_capacity(items.len());
-
-    // Round 0: evaluate everything once.
-    for &item in &items {
-        let gain = objective.gain(item);
-        trace.gain_evaluations += 1;
-        heap.push(HeapEntry { gain, item, round: 0 });
-    }
-
-    let mut round = 0usize;
-    while trace.len() < budget {
-        let Some(top) = heap.pop() else { break };
-        if top.round == round {
-            // Fresh entry: this really is the best remaining item.
-            if top.gain <= 0.0 {
-                break;
+    /// Removes and returns the best remaining item with its fresh gain.
+    pub(crate) fn take_best<O: IncrementalObjective>(
+        &mut self,
+        objective: &mut O,
+        evaluations: &mut usize,
+    ) -> Option<(usize, f64)> {
+        // Round 0 evaluates everything once, on the first pick, so a stop
+        // rule that already holds costs no gain calls.
+        for item in std::mem::take(&mut self.unevaluated) {
+            let gain = objective.gain(item);
+            *evaluations += 1;
+            self.heap.push(HeapEntry { gain, item, round: 0 });
+        }
+        loop {
+            let top = self.heap.pop()?;
+            if top.round == self.round {
+                // Fresh entry: this really is the best remaining item.
+                self.round += 1;
+                return Some((top.item, top.gain));
             }
-            objective.insert(top.item);
-            round += 1;
-            trace.push(top.item, top.gain, objective.current_value());
-        } else {
             // Stale entry: re-evaluate and push back.
             let gain = objective.gain(top.item);
-            trace.gain_evaluations += 1;
-            heap.push(HeapEntry { gain, item: top.item, round });
+            *evaluations += 1;
+            self.heap.push(HeapEntry { gain, item: top.item, round: self.round });
         }
     }
-    Ok(trace)
 }
 
 #[cfg(test)]
 mod tests {
-    use super::*;
-    use crate::greedy::maximize_greedy;
     use crate::testing::{ModularFunction, WeightedCoverage};
+    use crate::{select, GreedyAlgorithm, SelectionTrace, StopRule};
 
     fn coverage_instance() -> WeightedCoverage {
         WeightedCoverage::new(
@@ -125,14 +107,22 @@ mod tests {
         )
     }
 
+    fn run<O: crate::IncrementalObjective>(
+        objective: &mut O,
+        ground: &[usize],
+        budget: usize,
+        algorithm: GreedyAlgorithm,
+    ) -> crate::Result<SelectionTrace> {
+        select(objective, ground, StopRule::Budget(budget), algorithm)
+    }
+
     #[test]
     fn lazy_matches_plain_greedy_selection_and_value() {
         let ground: Vec<usize> = (0..6).collect();
         for budget in 1..=6 {
-            let mut plain = coverage_instance();
-            let mut lazy = coverage_instance();
-            let a = maximize_greedy(&mut plain, &ground, budget).unwrap();
-            let b = maximize_lazy(&mut lazy, &ground, budget).unwrap();
+            let a = run(&mut coverage_instance(), &ground, budget, GreedyAlgorithm::Greedy);
+            let b = run(&mut coverage_instance(), &ground, budget, GreedyAlgorithm::Lazy);
+            let (a, b) = (a.unwrap(), b.unwrap());
             assert_eq!(a.selected, b.selected, "budget {budget}");
             assert!((a.final_value() - b.final_value()).abs() < 1e-12);
         }
@@ -141,17 +131,15 @@ mod tests {
     #[test]
     fn lazy_issues_no_more_evaluations_than_plain_greedy() {
         let ground: Vec<usize> = (0..6).collect();
-        let mut plain = coverage_instance();
-        let mut lazy = coverage_instance();
-        let a = maximize_greedy(&mut plain, &ground, 4).unwrap();
-        let b = maximize_lazy(&mut lazy, &ground, 4).unwrap();
+        let a = run(&mut coverage_instance(), &ground, 4, GreedyAlgorithm::Greedy).unwrap();
+        let b = run(&mut coverage_instance(), &ground, 4, GreedyAlgorithm::Lazy).unwrap();
         assert!(b.gain_evaluations <= a.gain_evaluations);
     }
 
     #[test]
     fn lazy_stops_when_gains_vanish() {
         let mut f = WeightedCoverage::uniform(vec![vec![0], vec![0], vec![0]], 1);
-        let trace = maximize_lazy(&mut f, &[0, 1, 2], 3).unwrap();
+        let trace = run(&mut f, &[0, 1, 2], 3, GreedyAlgorithm::Lazy).unwrap();
         assert_eq!(trace.len(), 1);
         assert_eq!(trace.final_value(), 1.0);
     }
@@ -159,7 +147,7 @@ mod tests {
     #[test]
     fn lazy_handles_modular_functions() {
         let mut f = ModularFunction::new(vec![1.0, 5.0, 3.0]);
-        let trace = maximize_lazy(&mut f, &[0, 1, 2], 2).unwrap();
+        let trace = run(&mut f, &[0, 1, 2], 2, GreedyAlgorithm::Lazy).unwrap();
         assert_eq!(trace.selected, vec![1, 2]);
         assert_eq!(trace.final_value(), 8.0);
     }
@@ -167,7 +155,7 @@ mod tests {
     #[test]
     fn degenerate_inputs_error() {
         let mut f = ModularFunction::new(vec![1.0]);
-        assert!(maximize_lazy(&mut f, &[], 1).is_err());
-        assert!(maximize_lazy(&mut f, &[0], 0).is_err());
+        assert!(run(&mut f, &[], 1, GreedyAlgorithm::Lazy).is_err());
+        assert!(run(&mut f, &[0], 0, GreedyAlgorithm::Lazy).is_err());
     }
 }

@@ -11,7 +11,7 @@ pub struct SelectionStep {
     pub value_after: f64,
 }
 
-/// Full record of a greedy / lazy-greedy / stochastic-greedy run.
+/// Full record of a greedy selection pass ([`select`](crate::select)).
 #[derive(Debug, Clone, PartialEq, Default)]
 pub struct SelectionTrace {
     /// Selected items in selection order.
@@ -50,30 +50,6 @@ impl SelectionTrace {
     }
 }
 
-/// Result of a greedy cover run (select until a target value is reached).
-#[derive(Debug, Clone, PartialEq)]
-pub struct CoverResult {
-    /// The selection record.
-    pub trace: SelectionTrace,
-    /// Whether the target value was reached before the ground set (or the
-    /// iteration limit) was exhausted.
-    pub reached: bool,
-    /// The target value the run aimed for.
-    pub target: f64,
-}
-
-impl CoverResult {
-    /// Number of selected items.
-    pub fn seed_count(&self) -> usize {
-        self.trace.len()
-    }
-
-    /// Final objective value.
-    pub fn achieved(&self) -> f64 {
-        self.trace.final_value()
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -90,15 +66,5 @@ mod tests {
         assert_eq!(trace.value_at(0), Some(2.0));
         assert_eq!(trace.value_at(5), None);
         assert_eq!(trace.selected, vec![3, 1]);
-    }
-
-    #[test]
-    fn cover_result_accessors() {
-        let mut trace = SelectionTrace::default();
-        trace.push(0, 1.5, 1.5);
-        let cover = CoverResult { trace, reached: true, target: 1.0 };
-        assert_eq!(cover.seed_count(), 1);
-        assert_eq!(cover.achieved(), 1.5);
-        assert!(cover.reached);
     }
 }

@@ -12,8 +12,8 @@
 //!   centrality, clustering and IO,
 //! * [`diffusion`] (`tcim-diffusion`) — independent-cascade / linear-threshold
 //!   simulation and time-critical influence estimators,
-//! * [`submodular`] (`tcim-submodular`) — greedy / CELF / stochastic greedy /
-//!   greedy cover,
+//! * [`submodular`] (`tcim-submodular`) — one greedy selection driver (full
+//!   scan, CELF or stochastic window; to a budget or a cover target),
 //! * [`core`] (`tcim-core`) — the [`ProblemSpec`](core::ProblemSpec) problem
 //!   description, the unified [`solve`](core::solve) entrypoint covering
 //!   P1–P6, the disparity measure and the Theorem 1/2 checks,
