@@ -9,11 +9,17 @@
 //! bench_regression [--out PATH] [--check BASELINE] [--sha SHA]
 //! ```
 //!
-//! `--sha` defaults to `$GITHUB_SHA`, then "local". Quality metrics are
-//! fully deterministic (fixed seeds); wall-times vary with the runner, which
-//! is why the checked-in baseline carries generous headroom on top of the
-//! 25% gate. The `service_cache_speedup` ratio divides two wall-times
-//! measured in the same process, so runner speed largely cancels out — its
+//! `--sha` defaults to `$GITHUB_SHA`, then "local". Every timed section runs
+//! five times and records the median; the record states the thread count
+//! and the machine's cores. Quality metrics are fully deterministic (fixed
+//! seeds); wall-times vary with the runner, which is why the checked-in
+//! baseline carries generous headroom on top of the 25% gate.
+//! `parallel_efficiency_mc_solve` divides the MC solve's median time on one
+//! thread by its median time on the default thread count, both measured in
+//! this process; its baseline is a floor of 1.0 (parallel never slower than
+//! serial), and on a single thread it is 1 by definition. The
+//! `service_cache_speedup` ratio divides two wall-times measured in the same
+//! process, so runner speed largely cancels out — its
 //! baseline enforces the "cached serving amortizes estimator construction"
 //! contract (>= 5x on the 20-query grid). `service_warm_hit_rate` replays
 //! the grid twice through a byte-budgeted cache and gates the oracle hit
@@ -67,6 +73,23 @@ fn timed<R>(op: impl FnOnce() -> R) -> (f64, R) {
     (start.elapsed().as_secs_f64() * 1e3, result)
 }
 
+/// How many times each timed section runs.
+const REPEATS: usize = 5;
+
+/// Runs `op` [`REPEATS`] times and returns the median milliseconds and the
+/// last result.
+fn timed_median<R>(mut op: impl FnMut() -> R) -> (f64, R) {
+    let mut times = Vec::with_capacity(REPEATS);
+    let mut result = None;
+    for _ in 0..REPEATS {
+        let (ms, r) = timed(&mut op);
+        times.push(ms);
+        result = Some(r);
+    }
+    times.sort_by(f64::total_cmp);
+    (times[REPEATS / 2], result.expect("REPEATS > 0"))
+}
+
 /// The repeated-query serving workload: 20 budget solves over a τ × B grid
 /// against one dataset — the access pattern the paper's figures imply
 /// (every panel re-solves the same graph under varying deadline / budget).
@@ -97,7 +120,9 @@ fn main() {
             exit(2);
         }
     };
-    let mut record = BenchRecord::new(&cli.sha);
+    let threads = ParallelismConfig::auto().resolved_threads();
+    let cores = std::thread::available_parallelism().map_or(1, |n| n.get());
+    let mut record = BenchRecord::new(&cli.sha, threads, cores);
 
     // Quick instance: big enough that estimator costs dominate, small enough
     // for a CI smoke job.
@@ -115,7 +140,7 @@ fn main() {
             seed: 1,
             ..Default::default()
         }));
-    let (mc_solve_ms, mc_report) = timed(|| {
+    let mc_solve = || {
         let oracle = mc_spec
             .estimator
             .as_ref()
@@ -123,9 +148,22 @@ fn main() {
             .build(Arc::clone(&graph), deadline)
             .expect("world oracle");
         solve(&oracle, &mc_spec).expect("world solve")
-    });
+    };
+    let (mc_solve_ms, mc_report) = timed_median(mc_solve);
     record.push("mc_solve_ms", mc_solve_ms);
     record.push_spec("mc_solve_ms", &mc_spec.canonical());
+    // The same solve on one thread, in this process: t₁ / tₙ.
+    let mc_solve_serial_ms = if threads > 1 {
+        let (ms, serial_report) = ParallelismConfig::serial().run(|| timed_median(mc_solve));
+        if serial_report.seeds != mc_report.seeds {
+            eprintln!("bench-regression: FATAL: the serial MC solve picked different seeds");
+            exit(1);
+        }
+        ms
+    } else {
+        mc_solve_ms
+    };
+    record.push("parallel_efficiency_mc_solve", mc_solve_serial_ms / mc_solve_ms);
 
     // --- RIS engine: build + greedy/CELF solve ----------------------------
     let ris_spec = ProblemSpec::budget(budget)
@@ -136,7 +174,7 @@ fn main() {
             seed: 2,
             ..Default::default()
         }));
-    let (ris_solve_ms, ris_report) = timed(|| {
+    let (ris_solve_ms, ris_report) = timed_median(|| {
         let oracle = ris_spec
             .estimator
             .as_ref()
@@ -154,7 +192,7 @@ fn main() {
         EstimatorConfig::Worlds(WorldsConfig { num_worlds: 200, seed: 1, ..Default::default() })
             .build(Arc::clone(&graph), deadline)
             .expect("world oracle");
-    let (mc_eval_ms, _) = timed(|| {
+    let (mc_eval_ms, _) = timed_median(|| {
         for _ in 0..50 {
             world_oracle.evaluate(&eval_seeds).expect("world evaluate");
         }
@@ -167,7 +205,7 @@ fn main() {
         .expect("estimator set above")
         .build(Arc::clone(&graph), deadline)
         .expect("ris oracle");
-    let (ris_eval_ms, _) = timed(|| {
+    let (ris_eval_ms, _) = timed_median(|| {
         for _ in 0..50 {
             ris_oracle.evaluate(&eval_seeds).expect("ris evaluate");
         }
@@ -188,20 +226,23 @@ fn main() {
     // world collection — what the fig binaries do today. Cached: one engine,
     // one batch; the deadline-independent world pool samples once and every
     // (τ, B) query shares it. Same requests, byte-identical responses.
+    // Every cached repetition starts from a fresh engine, so each one pays
+    // the grid's one world-pool sampling.
     let requests = service_grid();
-    let (service_cold_ms, cold_responses) = timed(|| {
+    let (service_cold_ms, cold_responses) = timed_median(|| {
         requests
             .iter()
             .map(|request| ServiceEngine::new(ParallelismConfig::auto()).serve(request).to_string())
             .collect::<Vec<String>>()
     });
-    let cached_engine = ServiceEngine::new(ParallelismConfig::auto());
-    let (service_cached_ms, cached_responses) = timed(|| {
-        cached_engine
+    let (service_cached_ms, (cached_engine, cached_responses)) = timed_median(|| {
+        let engine = ServiceEngine::new(ParallelismConfig::auto());
+        let responses = engine
             .serve_batch(&requests)
             .into_iter()
             .map(|response| response.to_string())
-            .collect::<Vec<String>>()
+            .collect::<Vec<String>>();
+        (engine, responses)
     });
     if cold_responses != cached_responses {
         eprintln!("bench-regression: FATAL: cached responses differ from cold responses");
@@ -266,35 +307,47 @@ fn main() {
     // sparse mutation must stay well over 2x cheaper than rebuilding. The
     // refreshed pool must also stay bitwise-identical to the cold one — a
     // divergence is a determinism bug, not a perf number.
+    // Each repetition replays the whole churn sequence from a fresh pool;
+    // the medians are over the repetitions' totals.
     let ris_config = RisConfig { num_sets: 20_000, seed: 2, ..Default::default() };
     let churn = ChurnConfig::new(8, 2, 11).generate(&graph).expect("churn sequence");
-    let mut live = Arc::clone(&graph);
-    let mut warm =
-        RisEstimator::new(Arc::clone(&live), deadline, &ris_config).expect("warm ris pool");
-    let (mut cold_total_ms, mut refresh_total_ms) = (0.0f64, 0.0f64);
-    for ops in &churn.steps {
-        live = Arc::new(live.apply(ops).expect("churn step applies"));
-        let touched: Vec<NodeId> = ops.iter().map(|op| op.endpoints().1).collect();
-        let (refresh_ms, _resampled) =
-            timed(|| warm.refresh(Arc::clone(&live), &touched).expect("incremental refresh"));
-        let (cold_ms, cold) = timed(|| {
-            RisEstimator::new(Arc::clone(&live), deadline, &ris_config).expect("cold ris pool")
-        });
-        refresh_total_ms += refresh_ms;
-        cold_total_ms += cold_ms;
-        let warm_influence = warm.evaluate(&eval_seeds).expect("warm evaluate");
-        let cold_influence = cold.evaluate(&eval_seeds).expect("cold evaluate");
-        if warm_influence.total().to_bits() != cold_influence.total().to_bits() {
-            eprintln!(
-                "bench-regression: FATAL: refreshed RIS pool diverged from a cold rebuild at \
-                 graph version {} ({} vs {})",
-                live.version(),
-                warm_influence.total(),
-                cold_influence.total()
-            );
-            exit(1);
+    let (mut cold_totals_ms, mut refresh_totals_ms) = (Vec::new(), Vec::new());
+    for _ in 0..REPEATS {
+        let mut live = Arc::clone(&graph);
+        let mut warm =
+            RisEstimator::new(Arc::clone(&live), deadline, &ris_config).expect("warm ris pool");
+        let (mut cold_total_ms, mut refresh_total_ms) = (0.0f64, 0.0f64);
+        for ops in &churn.steps {
+            live = Arc::new(live.apply(ops).expect("churn step applies"));
+            let touched: Vec<NodeId> = ops.iter().map(|op| op.endpoints().1).collect();
+            let (refresh_ms, _resampled) =
+                timed(|| warm.refresh(Arc::clone(&live), &touched).expect("incremental refresh"));
+            let (cold_ms, cold) = timed(|| {
+                RisEstimator::new(Arc::clone(&live), deadline, &ris_config).expect("cold ris pool")
+            });
+            refresh_total_ms += refresh_ms;
+            cold_total_ms += cold_ms;
+            let warm_influence = warm.evaluate(&eval_seeds).expect("warm evaluate");
+            let cold_influence = cold.evaluate(&eval_seeds).expect("cold evaluate");
+            if warm_influence.total().to_bits() != cold_influence.total().to_bits() {
+                eprintln!(
+                    "bench-regression: FATAL: refreshed RIS pool diverged from a cold rebuild \
+                     at graph version {} ({} vs {})",
+                    live.version(),
+                    warm_influence.total(),
+                    cold_influence.total()
+                );
+                exit(1);
+            }
         }
+        cold_totals_ms.push(cold_total_ms);
+        refresh_totals_ms.push(refresh_total_ms);
     }
+    let median = |mut totals: Vec<f64>| {
+        totals.sort_by(f64::total_cmp);
+        totals[REPEATS / 2]
+    };
+    let (cold_total_ms, refresh_total_ms) = (median(cold_totals_ms), median(refresh_totals_ms));
     eprintln!(
         "churn refresh: {} step(s), {:.1}ms refreshed vs {:.1}ms cold",
         churn.steps.len(),

@@ -10,7 +10,12 @@
 //!
 //! Metric direction is encoded in the name: `*_ms` is lower-is-better,
 //! everything else (throughput `*_per_s`, speedups, quality) is
-//! higher-is-better.
+//! higher-is-better. `parallel_efficiency_*` metrics (serial time ÷ parallel
+//! time, both measured in one process) are floors: the gate fails when one
+//! falls below its baseline value at all, not by more than the tolerance.
+//!
+//! A record also states the conditions it was measured under: the thread
+//! count parallel sections ran with and the cores the machine offers.
 
 use std::fmt::Write as _;
 
@@ -21,6 +26,12 @@ use tcim_service::minijson::Json;
 pub struct BenchRecord {
     /// Commit sha (or "local") the record was measured at.
     pub sha: String,
+    /// Threads the parallel sections ran with (0 when a stored record does
+    /// not say).
+    pub threads: usize,
+    /// Cores available to the process (0 when a stored record does not
+    /// say).
+    pub cores: usize,
     /// Named metrics in insertion order.
     pub metrics: Vec<(String, f64)>,
     /// Canonical `ProblemSpec` strings of the solves behind the metrics
@@ -37,9 +48,10 @@ pub const BENCH_SCHEMA: u32 = 1;
 pub const REGRESSION_TOLERANCE: f64 = 0.25;
 
 impl BenchRecord {
-    /// Creates an empty record for `sha`.
-    pub fn new(sha: &str) -> Self {
-        BenchRecord { sha: sha.to_string(), metrics: Vec::new(), specs: Vec::new() }
+    /// Creates an empty record for `sha`, measured with `threads` threads
+    /// on `cores` cores.
+    pub fn new(sha: &str, threads: usize, cores: usize) -> Self {
+        BenchRecord { sha: sha.to_string(), threads, cores, metrics: Vec::new(), specs: Vec::new() }
     }
 
     /// Appends a metric.
@@ -64,6 +76,8 @@ impl BenchRecord {
         let mut out = String::from("{\n");
         let _ = writeln!(out, "  \"schema\": {BENCH_SCHEMA},");
         let _ = writeln!(out, "  \"sha\": {},", Json::from(self.sha.as_str()));
+        let _ = writeln!(out, "  \"threads\": {},", self.threads);
+        let _ = writeln!(out, "  \"cores\": {},", self.cores);
         let _ = writeln!(out, "  \"metrics\": {{");
         for (i, (name, value)) in self.metrics.iter().enumerate() {
             let comma = if i + 1 == self.metrics.len() { "" } else { "," };
@@ -98,6 +112,9 @@ impl BenchRecord {
     pub fn parse_json(text: &str) -> Result<Self, String> {
         let value = Json::parse(text)?;
         let sha = value.get("sha").and_then(Json::as_str).unwrap_or_default().to_string();
+        // `threads` / `cores` are optional so baselines predating them parse.
+        let count = |key: &str| value.get(key).and_then(Json::as_f64).map_or(0, |n| n as usize);
+        let (threads, cores) = (count("threads"), count("cores"));
         let mut metrics = Vec::new();
         if let Some(members) = value.get("metrics").and_then(Json::as_obj) {
             for (name, metric) in members {
@@ -117,7 +134,7 @@ impl BenchRecord {
                 specs.push((name.clone(), text.to_string()));
             }
         }
-        Ok(BenchRecord { sha, metrics, specs })
+        Ok(BenchRecord { sha, threads, cores, metrics, specs })
     }
 }
 
@@ -127,11 +144,18 @@ fn lower_is_better(name: &str) -> bool {
     name.ends_with("_ms")
 }
 
+/// Whether a metric's baseline value is a floor the current value may not
+/// fall below at all (parallel efficiency: parallel must never be slower
+/// than serial).
+fn is_floor(name: &str) -> bool {
+    name.starts_with("parallel_efficiency_")
+}
+
 /// Compares `current` against `baseline` and returns one human-readable
-/// violation per metric regressed beyond `tolerance` (0.25 = 25%). Metrics
-/// present in the baseline but missing from the current record are
-/// violations too; extra current metrics are ignored so baselines can lag
-/// behind new measurements.
+/// violation per metric regressed beyond `tolerance` (0.25 = 25%), or below
+/// its baseline value for a floor metric. Metrics present in the baseline
+/// but missing from the current record are violations too; extra current
+/// metrics are ignored so baselines can lag behind new measurements.
 pub fn compare(current: &BenchRecord, baseline: &BenchRecord, tolerance: f64) -> Vec<String> {
     let mut violations = Vec::new();
     for (name, base) in &baseline.metrics {
@@ -140,7 +164,11 @@ pub fn compare(current: &BenchRecord, baseline: &BenchRecord, tolerance: f64) ->
             continue;
         };
         let pct = tolerance * 100.0;
-        if lower_is_better(name) {
+        if is_floor(name) {
+            if cur < *base {
+                violations.push(format!("{name}: {cur:.3} is below its floor {base:.3}"));
+            }
+        } else if lower_is_better(name) {
             if cur > base * (1.0 + tolerance) {
                 violations.push(format!(
                     "{name}: {cur:.3} is more than {pct:.0}% above baseline {base:.3}"
@@ -159,7 +187,7 @@ mod tests {
     use super::*;
 
     fn record() -> BenchRecord {
-        let mut r = BenchRecord::new("abc123");
+        let mut r = BenchRecord::new("abc123", 2, 4);
         r.push("mc_solve_ms", 120.5);
         r.push("ris_solve_ms", 40.25);
         r.push("ris_eval_per_s", 15000.0);
@@ -175,11 +203,13 @@ mod tests {
         assert!(json.contains("\"sha\": \"abc123\""));
         let parsed = BenchRecord::parse_json(&json).unwrap();
         assert_eq!(parsed.sha, "abc123");
+        assert_eq!((parsed.threads, parsed.cores), (2, 4));
         assert_eq!(parsed.metrics.len(), 3);
         assert_eq!(parsed.specs, r.specs, "spec annotations must round-trip");
         // Records without a specs section (older baselines) still parse.
         let bare = BenchRecord::parse_json("{\"sha\":\"x\",\"metrics\":{\"a_ms\":1}}").unwrap();
         assert!(bare.specs.is_empty());
+        assert_eq!((bare.threads, bare.cores), (0, 0));
         assert!((parsed.get("mc_solve_ms").unwrap() - 120.5).abs() < 1e-9);
         assert!((parsed.get("ris_eval_per_s").unwrap() - 15000.0).abs() < 1e-9);
         assert_eq!(parsed.get("bogus"), None);
@@ -199,7 +229,7 @@ mod tests {
         assert!(compare(&record(), &baseline, REGRESSION_TOLERANCE).is_empty());
 
         // Slower wall-time and lower throughput beyond 25%: both flagged.
-        let mut slow = BenchRecord::new("def");
+        let mut slow = BenchRecord::new("def", 2, 4);
         slow.push("mc_solve_ms", 120.5 * 1.5);
         slow.push("ris_solve_ms", 40.25);
         slow.push("ris_eval_per_s", 15000.0 / 2.0);
@@ -209,16 +239,33 @@ mod tests {
         assert!(violations[1].contains("ris_eval_per_s"));
 
         // Faster wall-time and higher throughput: improvements are fine.
-        let mut fast = BenchRecord::new("ghi");
+        let mut fast = BenchRecord::new("ghi", 2, 4);
         fast.push("mc_solve_ms", 1.0);
         fast.push("ris_solve_ms", 1.0);
         fast.push("ris_eval_per_s", 1e9);
         assert!(compare(&fast, &baseline, REGRESSION_TOLERANCE).is_empty());
 
         // Missing metric is a violation.
-        let mut partial = BenchRecord::new("jkl");
+        let mut partial = BenchRecord::new("jkl", 2, 4);
         partial.push("mc_solve_ms", 100.0);
         let violations = compare(&partial, &baseline, REGRESSION_TOLERANCE);
         assert!(violations.iter().any(|v| v.contains("missing")));
+    }
+
+    #[test]
+    fn parallel_efficiency_is_a_floor_not_a_tolerance() {
+        let mut baseline = BenchRecord::new("base", 2, 2);
+        baseline.push("parallel_efficiency_mc_solve", 1.0);
+        let at = |value: f64| {
+            let mut r = BenchRecord::new("cur", 2, 2);
+            r.push("parallel_efficiency_mc_solve", value);
+            compare(&r, &baseline, REGRESSION_TOLERANCE)
+        };
+        assert!(at(1.0).is_empty());
+        assert!(at(1.6).is_empty());
+        // 0.9 is within 25% of 1.0, but parallel slower than serial fails.
+        let violations = at(0.9);
+        assert_eq!(violations.len(), 1);
+        assert!(violations[0].contains("below its floor"));
     }
 }

@@ -115,6 +115,13 @@ impl<'a> InfluenceObjective<'a> {
     pub fn scalarization(&self) -> &Scalarization {
         &self.scalarization
     }
+
+    /// Scalar marginal gain of a per-group gain vector over the current set.
+    fn scalar_gain(&self, gain: &GroupInfluence) -> f64 {
+        let new_value =
+            self.scalarization.value_with_gain(self.cursor.current().values(), gain.values());
+        (new_value - self.cached_value).max(0.0)
+    }
 }
 
 impl IncrementalObjective for InfluenceObjective<'_> {
@@ -123,11 +130,14 @@ impl IncrementalObjective for InfluenceObjective<'_> {
     }
 
     fn gain(&mut self, item: usize) -> f64 {
-        let candidate = NodeId::from_index(item);
-        let gain = self.cursor.gain(candidate);
-        let new_value =
-            self.scalarization.value_with_gain(self.cursor.current().values(), gain.values());
-        (new_value - self.cached_value).max(0.0)
+        let gain = self.cursor.gain(NodeId::from_index(item));
+        self.scalar_gain(&gain)
+    }
+
+    fn gains(&mut self, items: &[usize]) -> Vec<f64> {
+        let candidates: Vec<NodeId> = items.iter().map(|&item| NodeId::from_index(item)).collect();
+        let gains = self.cursor.gains(&candidates);
+        gains.iter().map(|gain| self.scalar_gain(gain)).collect()
     }
 
     fn insert(&mut self, item: usize) {

@@ -119,6 +119,14 @@ pub trait InfluenceCursor {
     /// Does not modify the cursor state (apart from internal scratch buffers).
     fn gain(&mut self, candidate: NodeId) -> GroupInfluence;
 
+    /// [`InfluenceCursor::gain`] of every candidate, in candidate order: one
+    /// greedy scan's worth of queries. The default asks `gain` once per
+    /// candidate; a cursor whose queries are independent may answer them in
+    /// parallel, but must return exactly what `gain` would.
+    fn gains(&mut self, candidates: &[NodeId]) -> Vec<GroupInfluence> {
+        candidates.iter().map(|&candidate| self.gain(candidate)).collect()
+    }
+
     /// Commits `candidate` to the seed set.
     fn add_seed(&mut self, candidate: NodeId);
 }
@@ -302,26 +310,12 @@ pub struct WorldCursor<'a> {
     current: GroupInfluence,
     seeds: Vec<NodeId>,
     scratch: VisitScratch,
-    /// Whether `gain` queries should fan out. Decided once at construction:
-    /// it re-checks neither the environment (env-var read per query) nor the
-    /// workload, and stays `false` when `worlds × nodes` is too small for
-    /// per-query thread spawning to pay for itself. Either path returns
-    /// bitwise-identical results, so this is purely a throughput heuristic.
-    parallel_gain: bool,
 }
-
-/// Below this many node-visits upper bound (`num_worlds × num_nodes`) a
-/// marginal-gain query runs serially even under a parallel
-/// [`ParallelismConfig`]: spawning scoped threads costs tens of microseconds,
-/// which dwarfs the BFS work on small instances.
-const PARALLEL_GAIN_MIN_WORK: usize = 50_000;
 
 impl<'a> WorldCursor<'a> {
     fn new(estimator: &'a WorldEstimator) -> Self {
         let n = estimator.graph.num_nodes();
         let k = estimator.group_sizes.len();
-        let parallel_gain = !estimator.parallelism.is_serial()
-            && estimator.worlds.len().saturating_mul(n) >= PARALLEL_GAIN_MIN_WORK;
         WorldCursor {
             estimator,
             covered: vec![BitSet::new(n); estimator.worlds.len()],
@@ -329,9 +323,32 @@ impl<'a> WorldCursor<'a> {
             current: GroupInfluence::zeros(k),
             seeds: Vec::new(),
             scratch: VisitScratch::new(n),
-            parallel_gain,
         }
     }
+}
+
+/// Per-group marginal gain of `candidate` over the worlds' `covered` sets:
+/// the nodes it reaches within the deadline that no committed seed covers,
+/// counted as `u64` and scaled once. The one gain computation behind both
+/// [`WorldCursor::gain`] and [`WorldCursor::gains`], so they cannot drift.
+fn uncovered_reach(
+    estimator: &WorldEstimator,
+    covered: &[BitSet],
+    candidate: NodeId,
+    scratch: &mut VisitScratch,
+) -> GroupInfluence {
+    let group_of = &estimator.group_of;
+    let worlds = estimator.worlds.worlds();
+    let mut counts = vec![0u64; estimator.group_sizes.len()];
+    for (world, covered) in worlds.iter().zip(covered) {
+        world.bounded_bfs(&[candidate], estimator.deadline, scratch, |node, _| {
+            if !covered.contains(node.index()) {
+                counts[group_of[node.index()] as usize] += 1;
+            }
+        });
+    }
+    let scale = 1.0 / worlds.len() as f64;
+    GroupInfluence::from_values(counts.into_iter().map(|c| c as f64 * scale).collect())
 }
 
 impl InfluenceCursor for WorldCursor<'_> {
@@ -344,63 +361,38 @@ impl InfluenceCursor for WorldCursor<'_> {
     }
 
     fn gain(&mut self, candidate: NodeId) -> GroupInfluence {
-        // Marginal-gain queries dominate every greedy/CELF solve (they run
-        // once per candidate per round, `add_seed` once per round), so this
-        // is the hot path the parallelism knob must reach. Counts accumulate
-        // as u64 exactly like `evaluate_worlds`, so serial and parallel
-        // queries agree bitwise.
-        let k = self.estimator.group_sizes.len();
-        let group_of = &self.estimator.group_of;
-        let deadline = self.estimator.deadline;
-        let worlds = self.estimator.worlds.worlds();
-        let counts: Vec<u64> = if !self.parallel_gain {
-            // Serial fast path: reuse the cursor's epoch scratch instead of
-            // zeroing a fresh visited buffer per query.
-            let mut counts = vec![0u64; k];
-            for (world, covered) in worlds.iter().zip(&self.covered) {
-                world.bounded_bfs(&[candidate], deadline, &mut self.scratch, |node, _| {
-                    if !covered.contains(node.index()) {
-                        counts[group_of[node.index()] as usize] += 1;
-                    }
-                });
-            }
-            counts
-        } else {
-            let covered = &self.covered;
-            let n = self.estimator.graph.num_nodes();
-            self.estimator.parallelism.run(|| {
-                (0..worlds.len())
-                    .into_par_iter()
-                    .fold(
-                        || (vec![0u64; k], VisitScratch::new(n)),
-                        |(mut counts, mut scratch), i| {
-                            worlds[i].bounded_bfs(
-                                &[candidate],
-                                deadline,
-                                &mut scratch,
-                                |node, _| {
-                                    if !covered[i].contains(node.index()) {
-                                        counts[group_of[node.index()] as usize] += 1;
-                                    }
-                                },
-                            );
-                            (counts, scratch)
-                        },
-                    )
-                    .reduce(
-                        || (vec![0u64; k], VisitScratch::new(0)),
-                        |(mut acc, scratch), (partial, _)| {
-                            for (a, p) in acc.iter_mut().zip(&partial) {
-                                *a += p;
-                            }
-                            (acc, scratch)
-                        },
-                    )
-                    .0
-            })
-        };
-        let scale = 1.0 / worlds.len() as f64;
-        GroupInfluence::from_values(counts.into_iter().map(|c| c as f64 * scale).collect())
+        // One query stays on the calling thread: parallelism lives one level
+        // up, across the candidates of a scan (`gains`).
+        uncovered_reach(self.estimator, &self.covered, candidate, &mut self.scratch)
+    }
+
+    fn gains(&mut self, candidates: &[NodeId]) -> Vec<GroupInfluence> {
+        // A greedy scan's queries are independent, so contiguous chunks of
+        // candidates run on the pool, each with its own visit scratch, and
+        // concatenate in chunk order. Every gain is computed exactly as
+        // `gain` computes it, so the scan is bitwise-identical at any
+        // thread count.
+        let (estimator, covered) = (self.estimator, &self.covered);
+        let n = estimator.graph.num_nodes();
+        estimator.parallelism.run(|| {
+            candidates
+                .par_iter()
+                .fold(
+                    || (Vec::new(), VisitScratch::new(n)),
+                    |(mut gains, mut scratch), &candidate| {
+                        gains.push(uncovered_reach(estimator, covered, candidate, &mut scratch));
+                        (gains, scratch)
+                    },
+                )
+                .reduce(
+                    || (Vec::with_capacity(candidates.len()), VisitScratch::new(0)),
+                    |(mut all, scratch), (chunk, _)| {
+                        all.extend(chunk);
+                        (all, scratch)
+                    },
+                )
+                .0
+        })
     }
 
     fn add_seed(&mut self, candidate: NodeId) {

@@ -1,15 +1,18 @@
-//! Parallelism control for Monte-Carlo estimation.
+//! Parallelism control for Monte-Carlo estimation and greedy scans.
 //!
 //! Every parallel code path in this crate is **deterministic**: world `i` is
-//! always sampled from `StdRng::seed_from_u64(base_seed + i)` and per-world
+//! always sampled from `StdRng::seed_from_u64(base_seed + i)`, per-world
 //! activation counts are accumulated as integers (`u64`) before the single
-//! final conversion to `f64`, so serial and parallel runs — at *any* thread
-//! count — produce bitwise-identical [`crate::GroupInfluence`] vectors.
-//! Parallelism is therefore purely a throughput knob, safe to flip anywhere.
+//! final conversion to `f64`, and a batched gain scan computes each
+//! candidate's gain exactly as a single query does, so serial and parallel
+//! runs — at *any* thread count — produce bitwise-identical
+//! [`crate::GroupInfluence`] vectors. Parallelism is therefore purely a
+//! throughput knob, safe to flip anywhere.
 
 use rayon::{ThreadPool, ThreadPoolBuilder};
 
-/// How many worker threads Monte-Carlo sampling and evaluation may use.
+/// How many worker threads Monte-Carlo sampling, evaluation and batched
+/// gain scans may use.
 ///
 /// The default is [`ParallelismConfig::auto`], which follows the machine
 /// (`RAYON_NUM_THREADS` or the number of available cores). Solvers thread

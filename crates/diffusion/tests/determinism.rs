@@ -103,9 +103,7 @@ fn auto_parallelism_matches_serial() {
     );
 
     // The greedy-driving cursor must agree with the serial cursor too: its
-    // marginal-gain path is the solver hot loop. 256 worlds × 300 nodes
-    // clears the cursor's PARALLEL_GAIN_MIN_WORK threshold, so the parallel
-    // fan-out really runs (smaller workloads fall back to the serial path).
+    // marginal-gain path is the solver hot loop.
     let big_serial = WorldEstimator::new(
         Arc::clone(&graph),
         Deadline::finite(5),
@@ -323,5 +321,45 @@ fn adaptive_ris_sizing_is_identical_across_thread_counts() {
             &parallel.evaluate(&seeds).unwrap(),
             &format!("adaptive ris, {parallelism:?}"),
         );
+    }
+}
+
+#[test]
+fn world_cursor_batched_gains_equal_one_gain_at_a_time() {
+    // `gains` is what a greedy scan calls (candidate chunks on the pool);
+    // it must return bitwise what `gain` returns per candidate, at any
+    // thread count, before and after seeds are committed.
+    let graph = sbm();
+    let candidates: Vec<NodeId> = (0..graph.num_nodes() as u32).step_by(7).map(NodeId).collect();
+    for threads in [1usize, 2, 8] {
+        let oracle = WorldEstimator::new(
+            Arc::clone(&graph),
+            Deadline::finite(5),
+            &WorldsConfig {
+                num_worlds: 64,
+                seed: 7,
+                parallelism: ParallelismConfig::fixed(threads),
+            },
+        )
+        .unwrap();
+        let mut batched = oracle.cursor();
+        let mut single = oracle.cursor();
+        for seed in [None, Some(NodeId(0)), Some(NodeId(150))] {
+            if let Some(seed) = seed {
+                batched.add_seed(seed);
+                single.add_seed(seed);
+            }
+            let gains = batched.gains(&candidates);
+            assert_eq!(gains.len(), candidates.len());
+            assert!(gains.iter().any(|g| g.total() > 0.0), "degenerate gains");
+            for (gain, &candidate) in gains.iter().zip(&candidates) {
+                assert_bitwise_equal(
+                    gain,
+                    &single.gain(candidate),
+                    &format!("gains vs gain of {candidate:?}, {threads} threads, seed {seed:?}"),
+                );
+            }
+        }
+        assert!(batched.gains(&[]).is_empty());
     }
 }

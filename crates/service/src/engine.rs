@@ -17,10 +17,13 @@ use crate::stats::{OpKind, ServerStats, StatsSnapshot};
 ///
 /// [`ServiceEngine::serve_batch`] fans a slice of requests out across the
 /// worker threads of its [`ParallelismConfig`] while every worker reads the
-/// same cached oracles. Responses come back in request order and are a pure
-/// function of each request: the batch is bitwise-identical at any thread
-/// count and any cache temperature (the repository-wide determinism
-/// contract, enforced by the service tests and the CI golden files).
+/// same cached oracles. Threads claim requests one at a time, so one slow
+/// request holds back none of the others; a request's own greedy scans then
+/// run on the thread serving it (the pool is busy serving the batch).
+/// Responses come back in request order and are a pure function of each
+/// request: the batch is bitwise-identical at any thread count and any
+/// cache temperature (the repository-wide determinism contract, enforced by
+/// the service tests and the CI golden files).
 ///
 /// Every served request is also recorded into the engine's [`ServerStats`]
 /// (count, outcome, latency) — the telemetry behind the `{"op":"stats"}`
@@ -107,6 +110,9 @@ impl ServiceEngine {
         responses
     }
 
+    /// Serves a mutation-free run of requests: `collect` on the pool
+    /// claims one request at a time and writes each response into its
+    /// request's slot.
     fn serve_segment(&self, requests: &[Request]) -> Vec<Json> {
         if requests.len() < 2 || self.parallelism.is_serial() {
             return requests.iter().map(|r| self.serve(r)).collect();

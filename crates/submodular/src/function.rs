@@ -22,6 +22,15 @@ pub trait IncrementalObjective {
     /// may mutate internal scratch space (hence `&mut self`).
     fn gain(&mut self, item: usize) -> f64;
 
+    /// [`IncrementalObjective::gain`] of every item, in item order: the
+    /// queries of one greedy scan, which an objective may answer in
+    /// parallel. The default asks `gain` once per item. An override must
+    /// return exactly what `gain` would; [`select`](crate::select) counts
+    /// one gain evaluation per item either way.
+    fn gains(&mut self, items: &[usize]) -> Vec<f64> {
+        items.iter().map(|&item| self.gain(item)).collect()
+    }
+
     /// Commits `item` to the current set.
     fn insert(&mut self, item: usize);
 }

@@ -120,17 +120,18 @@ impl Strategy {
     }
 }
 
-/// Evaluates every item of `pool` and returns the position and gain of the
-/// best one under the tie rule: larger gain, then smaller item id.
+/// Evaluates every item of `pool` in one [`IncrementalObjective::gains`]
+/// batch and returns the position and gain of the best one under the tie
+/// rule: larger gain, then smaller item id.
 pub(crate) fn best_in<O: IncrementalObjective>(
     objective: &mut O,
     pool: &[usize],
     evaluations: &mut usize,
 ) -> Option<(usize, f64)> {
+    let gains = objective.gains(pool);
+    *evaluations += pool.len();
     let mut best: Option<(usize, f64)> = None;
-    for (pos, &item) in pool.iter().enumerate() {
-        let gain = objective.gain(item);
-        *evaluations += 1;
+    for (pos, (&item, gain)) in pool.iter().zip(gains).enumerate() {
         let better = match best {
             None => true,
             Some((best_pos, best_gain)) => {
@@ -215,6 +216,68 @@ mod tests {
         let mut f = ModularFunction::new(vec![1.0]);
         assert_eq!(greedy(&mut f, &[], 1).unwrap_err(), SubmodularError::EmptyGroundSet);
         assert_eq!(greedy(&mut f, &[0], 0).unwrap_err(), SubmodularError::ZeroBudget);
+    }
+
+    /// Answers `gains` in one batch, evaluated back to front (the way a
+    /// parallel override may finish them out of order), and counts the
+    /// single-item `gain` calls it receives.
+    struct Batched {
+        inner: WeightedCoverage,
+        single_calls: usize,
+    }
+
+    impl IncrementalObjective for Batched {
+        fn current_value(&self) -> f64 {
+            self.inner.current_value()
+        }
+
+        fn gain(&mut self, item: usize) -> f64 {
+            self.single_calls += 1;
+            self.inner.gain(item)
+        }
+
+        fn gains(&mut self, items: &[usize]) -> Vec<f64> {
+            let mut gains: Vec<f64> = items.iter().rev().map(|&i| self.inner.gain(i)).collect();
+            gains.reverse();
+            gains
+        }
+
+        fn insert(&mut self, item: usize) {
+            self.inner.insert(item);
+        }
+    }
+
+    #[test]
+    fn a_gains_override_changes_neither_the_trace_nor_the_count() {
+        let covers: Vec<Vec<usize>> =
+            (0..30).map(|i| (0..4).map(|j| (i * 5 + j * 11) % 50).collect()).collect();
+        let coverage = || WeightedCoverage::uniform(covers.clone(), 50);
+        let ground: Vec<usize> = (0..30).collect();
+        let stops = [
+            StopRule::Budget(6),
+            StopRule::Target { target: 40.0, tolerance: 0.0, max_items: None },
+        ];
+        let algorithms = [
+            GreedyAlgorithm::Greedy,
+            GreedyAlgorithm::Lazy,
+            GreedyAlgorithm::Stochastic { epsilon: 0.2, seed: 5 },
+        ];
+        for stop in stops {
+            for algorithm in algorithms {
+                let plain = select(&mut coverage(), &ground, stop, algorithm).unwrap();
+                let mut batched = Batched { inner: coverage(), single_calls: 0 };
+                let trace = select(&mut batched, &ground, stop, algorithm).unwrap();
+                assert_eq!(trace, plain, "{stop:?}, {algorithm:?}");
+                assert!(plain.gain_evaluations > 0);
+                // Scans and CELF's round 0 go through `gains`; only CELF's
+                // lazy re-evaluations ask for one item at a time.
+                let expected_single = match algorithm {
+                    GreedyAlgorithm::Lazy => plain.gain_evaluations - ground.len(),
+                    _ => 0,
+                };
+                assert_eq!(batched.single_calls, expected_single, "{stop:?}, {algorithm:?}");
+            }
+        }
     }
 
     #[test]

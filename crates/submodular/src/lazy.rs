@@ -66,12 +66,17 @@ impl CelfHeap {
         objective: &mut O,
         evaluations: &mut usize,
     ) -> Option<(usize, f64)> {
-        // Round 0 evaluates everything once, on the first pick, so a stop
-        // rule that already holds costs no gain calls.
-        for item in std::mem::take(&mut self.unevaluated) {
-            let gain = objective.gain(item);
-            *evaluations += 1;
-            self.heap.push(HeapEntry { gain, item, round: 0 });
+        // Round 0 evaluates everything once, in one batch, on the first
+        // pick, so a stop rule that already holds costs no gain calls. The
+        // lazy re-evaluations below stay one at a time: each depends on
+        // which entry tops the heap after the last.
+        let unevaluated = std::mem::take(&mut self.unevaluated);
+        if !unevaluated.is_empty() {
+            let gains = objective.gains(&unevaluated);
+            *evaluations += unevaluated.len();
+            for (item, gain) in unevaluated.into_iter().zip(gains) {
+                self.heap.push(HeapEntry { gain, item, round: 0 });
+            }
         }
         loop {
             let top = self.heap.pop()?;
